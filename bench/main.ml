@@ -8,6 +8,7 @@
      ablation     - optimizer levels and register allocators
      portability  - one virtual object code on all four target configs
      micro        - bechamel micro-benchmarks of the translator pipeline
+     sims         - host execution rate of interp, x86lite and sparclite
 
    Run with no arguments to execute everything. *)
 
@@ -646,6 +647,135 @@ let run_portability () =
     [ "ptrdist-anagram"; "ptrdist-bc"; "186.crafty" ]
 
 (* ------------------------------------------------------------------ *)
+(* Host execution rate of the engines                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* One (workload, engine) measurement: the guest's dynamic instruction
+   count (LLVA instructions for the interpreter, native ones for the
+   simulators), its simulated cycles (none for the interpreter), and the
+   best of three host run times. Only the run is timed: every repetition
+   gets a freshly translated module and image, built outside the timer. *)
+type sim_row = {
+  s_name : string;
+  s_engine : string;
+  s_instrs : int64;
+  s_cycles : int64 option;
+  s_secs : float;
+}
+
+let sim_rows (w : Workloads.workload) : sim_row list =
+  let m () = Workloads.compile_optimized ~level:1 w in
+  let measure engine prepare run =
+    let best = ref infinity and counts = ref None in
+    for _ = 1 to 3 do
+      let x = prepare () in
+      let t0 = Unix.gettimeofday () in
+      let c = run x in
+      best := Float.min !best (Unix.gettimeofday () -. t0);
+      (match !counts with
+      | Some c0 when c0 <> c ->
+          failwith (Printf.sprintf "%s on %s: counts differ between runs"
+                      w.Workloads.name engine)
+      | _ -> ());
+      counts := Some c
+    done;
+    let instrs, cycles = Option.get !counts in
+    { s_name = w.Workloads.name; s_engine = engine; s_instrs = instrs;
+      s_cycles = cycles; s_secs = !best }
+  in
+  [
+    measure "interp"
+      (fun () -> Interp.create (m ()))
+      (fun st ->
+        ignore (Interp.run_main st);
+        (Int64.of_int st.Interp.stats.Interp.steps, None));
+    measure "x86lite"
+      (fun () -> X86lite.Compile.compile_module (m ()))
+      (fun cm ->
+        let _, st = X86lite.Sim.run_main cm in
+        (st.X86lite.Sim.icount, Some st.X86lite.Sim.cycles));
+    measure "sparclite"
+      (fun () -> Sparclite.Compile.compile_module (m ()))
+      (fun cm ->
+        let _, st = Sparclite.Sim.run_main cm in
+        (st.Sparclite.Sim.icount, Some st.Sparclite.Sim.cycles));
+  ]
+
+let minstr_per_s r = Int64.to_float r.s_instrs /. r.s_secs /. 1e6
+
+let run_sims () =
+  section "Host execution rate: 17 workloads at -O1, best of 3";
+  Printf.printf "%-17s %-10s %12s %12s %9s %9s\n" "Program" "engine" "instrs"
+    "cycles" "host s" "Minstr/s";
+  let rows =
+    List.concat_map
+      (fun w ->
+        let rs = sim_rows w in
+        List.iter
+          (fun r ->
+            Printf.printf "%-17s %-10s %12Ld %12s %9.3f %9.2f\n%!" r.s_name
+              r.s_engine r.s_instrs
+              (match r.s_cycles with Some c -> Int64.to_string c | None -> "-")
+              r.s_secs (minstr_per_s r))
+          rs;
+        rs)
+      Workloads.all
+  in
+  List.iter
+    (fun engine ->
+      let rs = List.filter (fun r -> r.s_engine = engine) rows in
+      let instrs = List.fold_left (fun a r -> Int64.add a r.s_instrs) 0L rs in
+      let secs = List.fold_left (fun a r -> a +. r.s_secs) 0.0 rs in
+      Printf.printf "%-17s %-10s %12Ld %12s %9.3f %9.2f\n" "total" engine instrs
+        "" secs
+        (Int64.to_float instrs /. secs /. 1e6))
+    [ "interp"; "x86lite"; "sparclite" ];
+  rows
+
+(* BENCH_sims.json is one flat table, one line per (run, workload,
+   engine), so runs of different commits sit side by side: writing a run
+   replaces the lines carrying its label and keeps every other run. *)
+let write_sims_json ~path ~label (rows : sim_row list) =
+  let prefix = "    {\"run\": \"" in
+  let own = prefix ^ json_escape label ^ "\"" in
+  let kept =
+    match open_in path with
+    | exception Sys_error _ -> []
+    | ic ->
+        let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+        close_in ic;
+        List.filter_map
+          (fun l ->
+            if String.starts_with ~prefix l
+               && not (String.starts_with ~prefix:own l)
+            then
+              Some
+                (if String.ends_with ~suffix:"," l then
+                   String.sub l 0 (String.length l - 1)
+                 else l)
+            else None)
+          lines
+  in
+  let fresh =
+    List.map
+      (fun r ->
+        Printf.sprintf
+          "%s, \"workload\": \"%s\", \"engine\": \"%s\", \"instrs\": %Ld, \
+           \"cycles\": %s, \"host_s\": %.4f, \"minstr_per_s\": %.2f}"
+          own (json_escape r.s_name) r.s_engine
+          r.s_instrs
+          (match r.s_cycles with Some c -> Int64.to_string c | None -> "null")
+          r.s_secs (minstr_per_s r))
+      rows
+  in
+  let oc = open_out path in
+  Printf.fprintf oc
+    "{\n  \"opt_level\": 1,\n  \"best_of\": 3,\n  \"rows\": [\n%s\n  ]\n}\n"
+    (String.concat ",\n" (kept @ fresh));
+  close_out oc;
+  Printf.printf "\nwrote %s (run %S)\n" path label
+
+(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -699,10 +829,26 @@ let run_micro () =
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let json = List.mem "--json" args in
+  (* [--label NAME] names the run [sims --json] records *)
+  let rec split_label = function
+    | "--label" :: l :: rest -> (Some l, rest)
+    | a :: rest ->
+        let l, rest = split_label rest in
+        (l, a :: rest)
+    | [] -> (None, [])
+  in
+  let label, args = split_label args in
   let which =
     match List.filter (fun a -> a <> "--json") args with
     | [] -> "all"
     | w :: _ -> w
+  in
+  let sims () =
+    let rows = run_sims () in
+    if json then
+      write_sims_json ~path:"BENCH_sims.json"
+        ~label:(Option.value label ~default:"current")
+        rows
   in
   (* [--json] additionally writes BENCH_llee.json next to the working
      directory so the perf trajectory is machine-readable across PRs *)
@@ -723,6 +869,7 @@ let () =
   | "ablation" -> run_ablation ()
   | "portability" -> run_portability ()
   | "micro" -> run_micro ()
+  | "sims" -> sims ()
   | "all" ->
       ignore (run_table2 ());
       run_fig2 ();
@@ -730,11 +877,13 @@ let () =
       run_trace ();
       run_ablation ();
       run_portability ();
-      run_micro ()
+      run_micro ();
+      sims ()
   | other ->
       Printf.eprintf
         "unknown benchmark %S (try: table2 fig2 llee memtp trace ablation \
-         portability micro all; add --json for BENCH_llee.json)\n"
+         portability micro sims all; add --json for BENCH_llee.json and \
+         BENCH_sims.json, --label NAME to name the sims run)\n"
         other;
       exit 1);
   print_newline ()

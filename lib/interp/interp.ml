@@ -149,13 +149,16 @@ let rec deliver_trap st kind : unit =
   match st.trap_handler with
   | Some handler ->
       (* Run the handler (an ordinary LLVA function, per §3.5) with the
-         trap number and a null info pointer, then terminate via Trap. *)
+         trap number and a null info pointer, then terminate via Trap. An
+         unwind out of the handler ends the handler, not the trap: it must
+         not reach an invoke in the interrupted program. *)
       st.trap_handler <- None (* avoid recursive trap loops *);
+      let interrupted = st.current in
       (try
          ignore
            (call_function st handler
               [ Eval.I (Types.Uint, Int64.of_int (trap_number kind)); Eval.P 0L ])
-       with Vmem.Runtime.Exit_called _ as e -> raise e);
+       with Unwinding -> st.current <- interrupted);
       raise (Trap kind)
   | None -> raise (Trap kind)
 

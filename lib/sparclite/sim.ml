@@ -37,6 +37,11 @@ type state = {
   mutable pc : int;
   mutable cycles : int64;
   mutable icount : int64;
+  (* unboxed running counts behind [cycles]/[icount]; the step loop bumps
+     these, and [run_until_empty] copies them out whenever it returns or
+     raises *)
+  mutable ncycles : int;
+  mutable ninstrs : int;
   mutable fuel : int;
   mutable trap_handler : string option;
   mutable privileged : bool;
@@ -63,6 +68,8 @@ let create ?(fuel = -1) (cmod : Compile.cmodule) : state =
     pc = 0;
     cycles = 0L;
     icount = 0L;
+    ncycles = 0;
+    ninstrs = 0;
     fuel;
     trap_handler = None;
     privileged = false;
@@ -235,9 +242,10 @@ and do_call st ~target ~except ~ret_pc =
 
 and step st =
   let i = st.cur.Compile.code.(st.pc) in
-  st.icount <- Int64.add st.icount 1L;
-  st.cycles <- Int64.add st.cycles (Int64.of_int (cycles_of i));
-  if st.fuel >= 0 && Int64.to_int st.icount > st.fuel then raise Out_of_fuel;
+  let n = st.ninstrs + 1 in
+  st.ninstrs <- n;
+  st.ncycles <- st.ncycles + cycles_of i;
+  if st.fuel >= 0 && n > st.fuel then raise Out_of_fuel;
   let next = st.pc + 1 in
   st.pc <- next;
   match i with
@@ -382,11 +390,16 @@ and step st =
   | TrapS msg -> invalid_arg ("sparclite sim: trap " ^ msg)
 
 and run_until_empty st =
-  try
-    while true do
-      step st
-    done
-  with Toplevel_return -> ()
+  Fun.protect
+    ~finally:(fun () ->
+      st.cycles <- Int64.of_int st.ncycles;
+      st.icount <- Int64.of_int st.ninstrs)
+    (fun () ->
+      try
+        while true do
+          step st
+        done
+      with Toplevel_return -> ())
 
 let call_function st name (int_args : int64 list) : int64 =
   match resolve_callee st name with

@@ -10,8 +10,14 @@ exception Fault of int64 (* faulting address *)
 let page_bits = 12
 let page_size = 1 lsl page_bits
 
+(* One slot of the page cache: a page index and its backing page. The
+   pair is immutable and replaced whole, so a slot can never hand out a
+   page under another page's tag. *)
+type slot = { tag : int; page : Bytes.t }
+
 type t = {
   pages : (int, Bytes.t) Hashtbl.t;
+  cache : slot array; (* direct-mapped by page index, [cache_slots] wide *)
   target : Target.config;
   mutable brk : int64; (* first unused heap address *)
   mutable free_lists : (int * int64 list) list; (* size-class allocator *)
@@ -28,26 +34,40 @@ let globals_base = 0x1000L
 let heap_base = 0x0100_0000L
 let stack_top = 0x0F00_0000L
 
+let cache_slots = 64
+let empty_slot = { tag = -1; page = Bytes.empty }
+
 let create target =
   {
     pages = Hashtbl.create 256;
+    cache = Array.make cache_slots empty_slot;
     target;
     brk = heap_base;
     free_lists = [];
     allocated = Hashtbl.create 64;
   }
 
+(* The null page and negative addresses fault before the cache is
+   consulted, so they never reach it. A miss goes to the page table,
+   mapping a fresh zeroed page if needed, and refills the slot. Pages are
+   never unmapped, so a cached slot never goes stale. *)
 let page_of mem addr =
-  let a = Int64.to_int addr in
-  if Int64.compare addr 0x1000L < 0 || Int64.compare addr 0L < 0 then
-    raise (Fault addr);
-  let idx = a lsr page_bits in
-  match Hashtbl.find_opt mem.pages idx with
-  | Some p -> p
-  | None ->
-      let p = Bytes.make page_size '\000' in
-      Hashtbl.replace mem.pages idx p;
-      p
+  if Int64.compare addr 0x1000L < 0 then raise (Fault addr);
+  let idx = Int64.to_int addr lsr page_bits in
+  let k = idx land (cache_slots - 1) in
+  let slot = mem.cache.(k) in
+  if slot.tag = idx then slot.page
+  else
+    let p =
+      match Hashtbl.find_opt mem.pages idx with
+      | Some p -> p
+      | None ->
+          let p = Bytes.make page_size '\000' in
+          Hashtbl.replace mem.pages idx p;
+          p
+    in
+    mem.cache.(k) <- { tag = idx; page = p };
+    p
 
 let read_u8 mem addr =
   let p = page_of mem addr in

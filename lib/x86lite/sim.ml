@@ -42,6 +42,11 @@ type state = {
   mutable pc : int;
   mutable cycles : int64;
   mutable icount : int64;
+  (* unboxed running counts behind [cycles]/[icount]; the step loop bumps
+     these, and [run_until_empty] copies them out whenever it returns or
+     raises *)
+  mutable ncycles : int;
+  mutable ninstrs : int;
   mutable fuel : int; (* instruction budget; < 0 = unlimited *)
   mutable trap_handler : string option;
   mutable privileged : bool;
@@ -71,6 +76,8 @@ let create ?(fuel = -1) (cmod : Compile.cmodule) : state =
     pc = 0;
     cycles = 0L;
     icount = 0L;
+    ncycles = 0;
+    ninstrs = 0;
     fuel;
     trap_handler = None;
     privileged = false;
@@ -113,8 +120,6 @@ let write_op st op v =
 
 (* ---------- traps ---------- *)
 
-exception Unwinding_internal
-
 let rec deliver_trap st kind : unit =
   (match st.trap_handler with
   | Some hname -> (
@@ -128,13 +133,15 @@ let rec deliver_trap st kind : unit =
             | Memory_fault _ -> 1L
             | Privilege_violation -> 2L
           in
-          (try run_subcall st hcf [ num; 0L ] with Unwinding_internal -> ())
+          run_subcall st hcf [ num; 0L ]
       | None -> ())
   | None -> ());
   raise (Trap kind)
 
 (* Run a nested native call with integer arguments (used for the trap
-   handler). Arguments are pushed per the calling convention. *)
+   handler). Arguments are pushed per the calling convention. An unwind
+   out of the handler stops at this boundary: the trap it serves still
+   terminates the program. *)
 and run_subcall st (cf : Compile.cfunc) (args : int64 list) =
   let n = List.length args in
   let saved_sp = st.regs.(sp) and saved_bp = st.regs.(bp) in
@@ -151,7 +158,7 @@ and run_subcall st (cf : Compile.cfunc) (args : int64 list) =
   st.frames <- [];
   st.cur <- cf;
   st.pc <- 0;
-  run_until_empty st;
+  (try run_until_empty st with Unwound -> ());
   st.regs.(sp) <- saved_sp;
   st.regs.(bp) <- saved_bp;
   st.frames <- saved_frames;
@@ -288,9 +295,10 @@ and do_call st ~target ~except ~ret_pc =
 
 and step st =
   let i = st.cur.Compile.code.(st.pc) in
-  st.icount <- Int64.add st.icount 1L;
-  st.cycles <- Int64.add st.cycles (Int64.of_int (cycles_of i));
-  if st.fuel >= 0 && Int64.to_int st.icount > st.fuel then raise Out_of_fuel;
+  let n = st.ninstrs + 1 in
+  st.ninstrs <- n;
+  st.ncycles <- st.ncycles + cycles_of i;
+  if st.fuel >= 0 && n > st.fuel then raise Out_of_fuel;
   let next = st.pc + 1 in
   st.pc <- next;
   match i with
@@ -442,11 +450,16 @@ and step st =
   | Trap msg -> invalid_arg ("x86lite sim: trap " ^ msg)
 
 and run_until_empty st =
-  try
-    while true do
-      step st
-    done
-  with Exit -> ()
+  Fun.protect
+    ~finally:(fun () ->
+      st.cycles <- Int64.of_int st.ncycles;
+      st.icount <- Int64.of_int st.ninstrs)
+    (fun () ->
+      try
+        while true do
+          step st
+        done
+      with Exit -> ())
 
 (* ---------- entry points ---------- *)
 

@@ -16,6 +16,11 @@
    behind must self-heal: one warm launch quarantines and repairs the
    torn entries, and the launch after that runs entirely from cache.
 
+   Given the llva_run path, the campaign also kills a launch mid-write
+   (kill9-chaos) and checks that `--stats` still prints the simulators'
+   pinned step counts on a normal exit and on an exhausted --fuel
+   (stats-lines).
+
    Any OCaml exception escaping an engine entry point crashes this
    harness, which is precisely the regression it guards against. The
    fault seed is fixed for reproducibility; override with CHAOS_SEED. *)
@@ -389,9 +394,10 @@ let bulky_program () =
      ret int %z\n}\n";
   Buffer.contents buf
 
-(* Spawn [llva_run args], stdout captured to a file, and return the pid.
-   [slow_us > 0] sets the chaos write knob in the child's environment. *)
-let spawn_llva_run exe ~slow_us ~out args =
+(* Spawn [llva_run args], stdout captured to a file (and stderr too when
+   [err] names one), and return the pid. [slow_us > 0] sets the chaos
+   write knob in the child's environment. *)
+let spawn_llva_run ?err exe ~slow_us ~out args =
   let env =
     let base =
       Array.to_list (Unix.environment ())
@@ -404,13 +410,20 @@ let spawn_llva_run exe ~slow_us ~out args =
          Printf.sprintf "LLVA_CHAOS_SLOW_WRITE_US=%d" slow_us :: base
        else base)
   in
-  let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let open_out_fd f =
+    Unix.openfile f [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
+  let fd = open_out_fd out in
+  let efd = Option.map open_out_fd err in
   Fun.protect
-    ~finally:(fun () -> Unix.close fd)
+    ~finally:(fun () ->
+      Unix.close fd;
+      Option.iter Unix.close efd)
     (fun () ->
       Unix.create_process_env exe
         (Array.of_list (exe :: args))
-        env Unix.stdin fd Unix.stderr)
+        env Unix.stdin fd
+        (Option.value efd ~default:Unix.stderr))
 
 let run_kill9_chaos exe =
   Printf.printf "%-17s %!" "kill9-chaos";
@@ -511,6 +524,71 @@ let run_kill9_chaos exe =
       Printf.printf "ok (torn %d, quarantined %d)\n%!" (List.length damaged)
         (List.length quarantined))
 
+(* `llva_run --stats` prints the simulators' step counts, pinned here for
+   255.vortex at -O1 on a normal exit and when --fuel runs out (exit
+   124). *)
+let stats_expectations =
+  [
+    ("x86", None, 0, [ "native instructions: 1497745"; "cycles: 3718803" ]);
+    ( "x86", Some 100_000, 124,
+      [ "native instructions: 100001"; "cycles: 245601" ] );
+    ("sparc", None, 0, [ "native instructions: 1432659"; "cycles: 2709675" ]);
+    ( "sparc", Some 100_000, 124,
+      [ "native instructions: 100001"; "cycles: 182330" ] );
+    ("llee-x86", None, 0, [ "cycles: 3718803" ]);
+    ("llee-x86", Some 100_000, 124, [ "cycles: 245601" ]);
+    ("llee-sparc", None, 0, [ "cycles: 2709675" ]);
+    ("llee-sparc", Some 100_000, 124, [ "cycles: 182330" ]);
+  ]
+
+let run_stats_check exe =
+  Printf.printf "%-17s %!" "stats-lines";
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "llva-stats-%d" (Unix.getpid ()))
+  in
+  rm_rf dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let bc = Filename.concat dir "vortex.bc" in
+      let oc = open_out_bin bc in
+      output_string oc
+        (Llva.Encode.encode
+           (Workloads.compile_optimized ~level:1
+              (Option.get (Workloads.find "255.vortex"))));
+      close_out oc;
+      let out = Filename.concat dir "stats.out"
+      and err = Filename.concat dir "stats.err" in
+      List.iter
+        (fun (engine, fuel, code, lines) ->
+          let what =
+            Printf.sprintf "stats: --engine %s%s" engine
+              (match fuel with
+              | Some f -> Printf.sprintf " --fuel %d" f
+              | None -> "")
+          in
+          let args =
+            [ bc; "--engine"; engine; "--stats" ]
+            @ match fuel with
+              | Some f -> [ "--fuel"; string_of_int f ]
+              | None -> []
+          in
+          let pid = spawn_llva_run ~err exe ~slow_us:0 ~out args in
+          (match Unix.waitpid [] pid with
+          | _, Unix.WEXITED c ->
+              check_eq (what ^ " exit code") string_of_int c code
+          | _, _ -> check (what ^ " exits") false);
+          let printed = String.split_on_char '\n' (read_file err) in
+          List.iter
+            (fun l ->
+              check (Printf.sprintf "%s prints %S" what l) (List.mem l printed))
+            lines)
+        stats_expectations;
+      Printf.printf "ok (%d launches)\n%!" (List.length stats_expectations))
+
 let () =
   Printf.printf "chaos campaign: %d workloads, fault seed %#x\n%!"
     (List.length Workloads.all) seed;
@@ -518,8 +596,12 @@ let () =
   run_peep_chaos ();
   run_lint_chaos ();
   run_tv_chaos ();
-  (if Array.length Sys.argv > 1 then run_kill9_chaos Sys.argv.(1)
-   else Printf.printf "kill9-chaos        skipped (no llva-run path given)\n%!");
+  (if Array.length Sys.argv > 1 then begin
+     run_kill9_chaos Sys.argv.(1);
+     run_stats_check Sys.argv.(1)
+   end
+   else
+     Printf.printf "kill9-chaos        skipped (no llva-run path given)\n%!");
   Printf.printf
     "campaign totals: %d damaged serves, %d quarantined, %d repaired, %d torn \
      writes, %d failed writes, %d transient faults (%d retried)\n"

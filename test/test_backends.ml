@@ -773,6 +773,55 @@ let test_canon_window_roundtrip () =
   let cw2, vars2 = X86lite.Compile.canon_window w2 in
   check_bool "sp window left concrete" true (cw2 = w2 && vars2 = [||])
 
+(* ---------- golden step accounting ---------- *)
+
+(* (cycles, icount) of every workload at -O1 on each simulator, x86lite
+   first. The simulated cycle count is the paper-facing metric (Table 2):
+   any change to how the step loops account for instructions, or to what
+   the selectors emit, moves these numbers and must be deliberate. *)
+let golden_counters =
+  [
+    ("ptrdist-anagram", (11991335L, 5187457L), (5788688L, 3713409L));
+    ("ptrdist-ks", (51095514L, 22758320L), (26402590L, 18791513L));
+    ("ptrdist-ft", (34959867L, 15237775L), (16398728L, 10316245L));
+    ("ptrdist-yacr2", (45935473L, 19883546L), (18517235L, 12581581L));
+    ("ptrdist-bc", (77859622L, 34510156L), (34695036L, 26318115L));
+    ("179.art", (23239648L, 11051293L), (12595523L, 8241322L));
+    ("183.equake", (14213594L, 6533399L), (6569755L, 4537251L));
+    ("181.mcf", (17719635L, 7871254L), (8662811L, 6165267L));
+    ("256.bzip2", (8197719L, 3713990L), (3536431L, 2550893L));
+    ("164.gzip", (12643959L, 5577982L), (5857560L, 3954949L));
+    ("197.parser", (19420982L, 8372244L), (10849196L, 6350106L));
+    ("188.ammp", (8340878L, 3912413L), (4013195L, 2545427L));
+    ("175.vpr", (54098570L, 24358944L), (43521850L, 23380198L));
+    ("300.twolf", (67638608L, 28532766L), (35310104L, 21801257L));
+    ("186.crafty", (5947263L, 2454097L), (2640464L, 1521034L));
+    ("255.vortex", (3718803L, 1497745L), (2709675L, 1432659L));
+    ("254.gap", (37137642L, 16921326L), (19858613L, 14168955L));
+  ]
+
+let test_golden_counters () =
+  check_int "every workload pinned" (List.length Workloads.all)
+    (List.length golden_counters);
+  let pair = Alcotest.(pair int64 int64) in
+  List.iter
+    (fun (name, x86, sparc) ->
+      let w = Option.get (Workloads.find name) in
+      let m () = Workloads.compile_optimized ~level:1 w in
+      let xc, xst =
+        X86lite.Sim.run_main (X86lite.Compile.compile_module (m ()))
+      in
+      check_int (name ^ " x86 exit") 0 xc;
+      Alcotest.check pair (name ^ " x86 (cycles, icount)") x86
+        (xst.X86lite.Sim.cycles, xst.X86lite.Sim.icount);
+      let sc, sst =
+        Sparclite.Sim.run_main (Sparclite.Compile.compile_module (m ()))
+      in
+      check_int (name ^ " sparc exit") 0 sc;
+      Alcotest.check pair (name ^ " sparc (cycles, icount)") sparc
+        (sst.Sparclite.Sim.cycles, sst.Sparclite.Sim.icount))
+    golden_counters
+
 let suite =
   [
     Alcotest.test_case "basic programs" `Quick test_basic_programs;
@@ -798,6 +847,7 @@ let suite =
     Alcotest.test_case "apply rules sparc" `Quick test_apply_rules_sparc;
     Alcotest.test_case "canon window roundtrip" `Quick
       test_canon_window_roundtrip;
+    Alcotest.test_case "golden counters" `Slow test_golden_counters;
     QCheck_alcotest.to_alcotest prop_backends_agree;
     QCheck_alcotest.to_alcotest prop_backends_agree_memory;
     QCheck_alcotest.to_alcotest prop_optimized_backends_agree;

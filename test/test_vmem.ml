@@ -147,6 +147,100 @@ let test_null_page_faults () =
        true
      with Vmem.Memory.Fault _ -> false)
 
+(* The page cache in front of the page table is direct-mapped, so pages
+   [cache_slots] apart share a slot and keep evicting each other. Mixed
+   1/2/4/8-byte accesses near the end of such pages (most of them
+   straddling into the next page, whose slot is shared too) must match a
+   byte-per-address model, through both the fast paths and the byte
+   loops, on both endiannesses. *)
+let test_page_cache_aliasing () =
+  let slots = Vmem.Memory.cache_slots and psz = Vmem.Memory.page_size in
+  List.iter
+    (fun (tname, target) ->
+      let mem = Vmem.Memory.create target in
+      let big = target.Target.endian = Target.Big in
+      let model = Hashtbl.create 256 in
+      let byte_at a = Option.value ~default:0 (Hashtbl.find_opt model a) in
+      let shift n k = 8 * if big then n - 1 - k else k in
+      let expected addr n =
+        let v = ref 0L in
+        for k = 0 to n - 1 do
+          let b = byte_at (Int64.add addr (Int64.of_int k)) in
+          v := Int64.logor !v (Int64.shift_left (Int64.of_int b) (shift n k))
+        done;
+        !v
+      in
+      let record addr n v =
+        for k = 0 to n - 1 do
+          Hashtbl.replace model
+            (Int64.add addr (Int64.of_int k))
+            (Int64.to_int
+               (Int64.logand (Int64.shift_right_logical v (shift n k)) 0xFFL))
+        done
+      in
+      let pages = [| 16; 16 + slots; 16 + (2 * slots) |] in
+      let rand = Random.State.make [| 13 |] in
+      for step = 0 to 3999 do
+        let page = pages.(Random.State.int rand (Array.length pages)) in
+        let n = [| 1; 2; 4; 8 |].(Random.State.int rand 4) in
+        let addr =
+          Int64.of_int ((page * psz) + psz - 8 + Random.State.int rand 8)
+        in
+        let what =
+          Printf.sprintf "%s step %d: %d bytes at 0x%Lx" tname step n addr
+        in
+        if Random.State.bool rand then begin
+          let v = Random.State.bits64 rand in
+          (match Random.State.int rand 3 with
+          | 0 -> Vmem.Memory.write_uint mem addr n v
+          | 1 -> Vmem.Memory.write_uint_slow mem addr n v
+          | _ when n = 8 -> Vmem.Memory.write_u64 mem addr v
+          | _ -> Vmem.Memory.write_uint mem addr n v);
+          record addr n v
+        end
+        else begin
+          let want = expected addr n in
+          Alcotest.(check int64) what want (Vmem.Memory.read_uint mem addr n);
+          Alcotest.(check int64) (what ^ ", byte loop") want
+            (Vmem.Memory.read_uint_slow mem addr n);
+          if n = 8 then
+            Alcotest.(check int64) (what ^ ", u64") want
+              (Vmem.Memory.read_u64 mem addr)
+        end
+      done)
+    [ ("little", Target.little32); ("big", Target.big32) ]
+
+(* The fault check runs before the cache lookup: caching the pages that
+   share a slot with the null page, or whose index a negative address
+   truncates to (the top bit of [min_int + a] is lost in [Int64.to_int],
+   leaving [a]), must not make those addresses readable. *)
+let test_page_cache_faults () =
+  let slots = Vmem.Memory.cache_slots and psz = Vmem.Memory.page_size in
+  let mem = Vmem.Memory.create Target.little32 in
+  List.iter
+    (fun p -> Vmem.Memory.write_u8 mem (Int64.of_int (p * psz)) 1)
+    [ 1; slots ];
+  List.iter
+    (fun a ->
+      check_bool (Printf.sprintf "read 0x%Lx faults" a) true
+        (try
+           ignore (Vmem.Memory.read_u8 mem a);
+           false
+         with Vmem.Memory.Fault f -> f = a);
+      check_bool (Printf.sprintf "write 0x%Lx faults" a) true
+        (try
+           Vmem.Memory.write_u64 mem a 7L;
+           false
+         with Vmem.Memory.Fault _ -> true))
+    [
+      0L; 8L; 0xFFFL; -1L; -4096L;
+      Int64.of_int (-slots * psz); Int64.min_int;
+      Int64.add Int64.min_int (Int64.of_int psz);
+      Int64.add Int64.min_int (Int64.of_int (slots * psz));
+    ];
+  check_int "cached pages still read back" 1
+    (Vmem.Memory.read_u8 mem (Int64.of_int (slots * psz)))
+
 let test_typed_scalar_access () =
   let mem = Vmem.Memory.create Target.little32 in
   (* negative short sign-extends on read *)
@@ -307,6 +401,8 @@ let suite =
     Alcotest.test_case "word fast paths" `Quick test_word_fast_paths;
     Alcotest.test_case "bulk byte ops" `Quick test_bulk_bytes;
     Alcotest.test_case "null page faults" `Quick test_null_page_faults;
+    Alcotest.test_case "page cache aliasing" `Quick test_page_cache_aliasing;
+    Alcotest.test_case "page cache faults" `Quick test_page_cache_faults;
     Alcotest.test_case "typed scalar access" `Quick test_typed_scalar_access;
     Alcotest.test_case "malloc/free" `Quick test_malloc_free;
     Alcotest.test_case "image loading" `Quick test_image_loading;
