@@ -120,6 +120,8 @@ let run input engine stats opt fuel cache_dir peephole doctor purge diff
           Printf.sprintf "cycles: %Ld" st.Sparclite.Sim.cycles;
           Printf.sprintf "static native instructions: %d"
             (Sparclite.Compile.module_instr_count cm);
+          Printf.sprintf "native code bytes: %d"
+            (Sparclite.Compile.module_code_size cm);
         ]
   | "llee-x86" | "llee-sparc" ->
       let target = if engine = "llee-x86" then Llee.X86 else Llee.Sparc in
@@ -172,6 +174,8 @@ let run input engine stats opt fuel cache_dir peephole doctor purge diff
           Printf.sprintf "tv mismatches: %d" eng.Llee.stats.Llee.tv_mismatches;
           Printf.sprintf "tv time: %.3f ms"
             (eng.Llee.stats.Llee.tv_time *. 1000.0);
+          Printf.sprintf "native instructions: %Ld"
+            eng.Llee.stats.Llee.native_instrs;
           Printf.sprintf "cycles: %Ld" eng.Llee.stats.Llee.cycles;
         ]
   | e ->

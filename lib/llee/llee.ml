@@ -179,15 +179,17 @@ let tv_entry_name t =
    outlasted the retry budget, a hostile filesystem. None of that may
    take the launch down: a throwing read is a miss, a throwing write or
    delete is a no-op, and each is counted in [storage_errors]. *)
-let storage_read t name : Storage.entry option =
-  try t.storage.Storage.read name
+let contained t ~default f =
+  try f ()
   with _ ->
     t.stats.storage_errors <- t.stats.storage_errors + 1;
-    None
+    default
+
+let storage_read t name : Storage.entry option =
+  contained t ~default:None (fun () -> t.storage.Storage.read name)
 
 let storage_delete t name =
-  try t.storage.Storage.delete name
-  with _ -> t.stats.storage_errors <- t.stats.storage_errors + 1
+  contained t ~default:() (fun () -> t.storage.Storage.delete name)
 
 (* A successful write under a name quarantined this launch is a repair:
    the damaged entry was moved aside and a freshly translated (or
@@ -208,8 +210,7 @@ let storage_write t name data =
 let quarantine_entry t name =
   t.stats.cache_quarantined <- t.stats.cache_quarantined + 1;
   Hashtbl.replace t.quarantined name ();
-  try t.storage.Storage.quarantine name
-  with _ -> t.stats.storage_errors <- t.stats.storage_errors + 1
+  contained t ~default:() (fun () -> t.storage.Storage.quarantine name)
 
 let read_cached t name : string option =
   match storage_read t name with
@@ -262,37 +263,69 @@ let unframe_entry data : framed =
         Bad_checksum
 
 (* Decode one framed cache entry. A failed checksum quarantines the entry
-   (it was valid once and rotted); a bad magic or an unmarshalable
-   payload that still passed its checksum counts as plain corruption — a
+   (it was valid once and rotted); a bad magic, or a payload that passed
+   its checksum but that [decode] rejects, counts as plain corruption — a
    foreign or garbage file that was never a valid entry. Either way the
-   read is a miss and the caller retranslates. *)
-let unmarshal_entry t name data =
+   read is a miss and the caller recomputes. *)
+let decode_entry t name ~decode data =
+  let corrupt () =
+    t.stats.cache_corrupt <- t.stats.cache_corrupt + 1;
+    None
+  in
   match unframe_entry data with
-  | Bad_magic ->
-      t.stats.cache_corrupt <- t.stats.cache_corrupt + 1;
-      None
+  | Bad_magic -> corrupt ()
   | Bad_checksum ->
       quarantine_entry t name;
       None
   | Payload payload -> (
-      try Some (Marshal.from_string payload 0)
-      with Failure _ | Invalid_argument _ ->
-        t.stats.cache_corrupt <- t.stats.cache_corrupt + 1;
-        None)
+      match decode payload with Some _ as v -> v | None -> corrupt ())
 
-let timed t f =
+let marshal v = Marshal.to_string v []
+
+let unmarshal payload =
+  try Some (Marshal.from_string payload 0)
+  with Failure _ | Invalid_argument _ -> None
+
+let unmarshal_entry t name data = decode_entry t name ~decode:unmarshal data
+
+(* One cached artifact: its entry name, its payload codec, and how to
+   compute it on a miss. *)
+type 'a artifact = {
+  name : string;
+  decode : string -> 'a option;
+  encode : 'a -> string;
+  compute : unit -> 'a;
+}
+
+(* The paper's rule for every cached artifact: read the entry through the
+   storage API, check its timestamp, use it if it decodes; otherwise
+   compute it and write it back — which is also the repair path for an
+   entry the checksum just quarantined. Returns the value and whether it
+   was a cache hit. *)
+let acquire t a =
+  let decode = decode_entry t a.name ~decode:a.decode in
+  match Option.bind (read_cached t a.name) decode with
+  | Some v -> (v, true)
+  | None ->
+      let v = a.compute () in
+      storage_write t a.name (frame_entry (a.encode v));
+      (v, false)
+
+(* run [f], adding its wall time to one of the stats timers *)
+let timing add f =
   let start = Unix.gettimeofday () in
   let result = f () in
-  t.stats.translate_time <-
-    t.stats.translate_time +. (Unix.gettimeofday () -. start);
+  add (Unix.gettimeofday () -. start);
   result
 
-(* ---------- superoptimized peephole tables ---------- *)
+(* The verdict entries hold JSON; a parse error is corruption. *)
+let json_decode of_json payload =
+  try Some (of_json (Check.Json.parse payload))
+  with Check.Json.Parse_error _ -> None
 
-let learn_table t =
-  match t.target with
-  | X86 -> Superopt.Search.learn_x86 [ t.m ]
-  | Sparc -> Superopt.Search.learn_sparc [ t.m ]
+let json_encode to_json v = Check.Json.to_string ~pretty:false (to_json v)
+
+(* ---------- superoptimized peephole tables ---------- *)
 
 (* Acquire this launch's rewrite table, reusing a recorded one when the
    storage cache holds a fresh, well-formed [#peep#] entry for this
@@ -304,52 +337,105 @@ let learn_table t =
    storage the table is re-learned every launch. Either way the time
    spent here lands in [peep_time], never in [translate_time]. *)
 let ensure_peep_table t : Superopt.Table.t option =
-  if not t.peephole then None
-  else
-    match t.peep_table with
-    | Some _ as some -> some
-    | None ->
-        let t0 = Unix.gettimeofday () in
-        let name = peep_entry_name t in
-        let recorded =
-          match read_cached t name with
-          | None -> None
-          | Some data -> (
-              match unframe_entry data with
-              | Bad_magic ->
-                  t.stats.cache_corrupt <- t.stats.cache_corrupt + 1;
-                  None
-              | Bad_checksum ->
-                  quarantine_entry t name;
-                  None
-              | Payload payload -> (
-                  (* strict decode: wrong magic/version, undecodable
-                     payload, target mismatch or a rule that disagrees
-                     with the current cycle model all count as plain
-                     corruption — re-search rather than apply *)
-                  match
-                    Superopt.Table.of_string
-                      ~expect_target:(target_name t.target) payload
-                  with
-                  | tb -> Some tb
-                  | exception Superopt.Table.Invalid_table _ ->
-                      t.stats.cache_corrupt <- t.stats.cache_corrupt + 1;
-                      None))
-        in
-        let tb =
-          match recorded with
-          | Some tb ->
-              t.stats.peep_table_loads <- t.stats.peep_table_loads + 1;
-              tb
-          | None ->
-              let tb = learn_table t in
-              t.stats.peep_searches <- t.stats.peep_searches + 1;
-              storage_write t name (frame_entry (Superopt.Table.to_string tb));
-              tb
-        in
-        t.stats.peep_time <- t.stats.peep_time +. (Unix.gettimeofday () -. t0);
-        t.peep_table <- Some tb;
-        Some tb
+  match t.peep_table with
+  | Some _ as some -> some
+  | None when not t.peephole -> None
+  | None ->
+      let tb, hit =
+        timing (fun dt -> t.stats.peep_time <- t.stats.peep_time +. dt)
+          (fun () ->
+            acquire t
+              {
+                name = peep_entry_name t;
+                (* strict decode: wrong magic/version, undecodable
+                   payload, target mismatch or a rule that disagrees
+                   with the current cycle model all count as plain
+                   corruption — re-search rather than apply *)
+                decode =
+                  (fun payload ->
+                    try
+                      Some
+                        (Superopt.Table.of_string
+                           ~expect_target:(target_name t.target) payload)
+                    with Superopt.Table.Invalid_table _ -> None);
+                encode = Superopt.Table.to_string;
+                compute =
+                  (fun () ->
+                    Superopt.Search.learn ~target:(target_name t.target)
+                      [ t.m ]);
+              })
+      in
+      if hit then t.stats.peep_table_loads <- t.stats.peep_table_loads + 1
+      else t.stats.peep_searches <- t.stats.peep_searches + 1;
+      t.peep_table <- Some tb;
+      Some tb
+
+(* ---------- per-target back-ends ---------- *)
+
+(* What differs between the two targets, once each: compiling one
+   function under this launch's peephole table, returning the rewrites
+   applied and static cycles saved as plain data (parallel workers must
+   never touch the stats record); and running [main] with [resolve]
+   supplying functions on demand, returning (outcome, output, cycles,
+   instructions, SMC redirections). *)
+type 'cf isa = {
+  compile : Vmem.Image.t -> Ir.func -> 'cf * int * int;
+  execute :
+    ?fuel:int -> Vmem.Image.t -> (string, 'cf) Hashtbl.t ->
+    (string -> 'cf option) -> Outcome.t * string * int64 * int64 * int;
+}
+
+type backend = Backend : 'cf isa -> backend
+
+(* acquires the table first: cache identities include its fingerprint *)
+let backend t =
+  let tb = ensure_peep_table t in
+  let engine = "llee-" ^ target_name t.target in
+  match t.target with
+  | X86 ->
+      let peep = Option.fold ~none:[] ~some:Superopt.Table.x86_pairs tb in
+      Backend
+        {
+          compile =
+            (fun image f ->
+              let ps = X86lite.Compile.fresh_peep_stats () in
+              let cf =
+                X86lite.Compile.compile_function t.m image ~peep
+                  ~peep_stats:ps f
+              in
+              X86lite.Compile.(cf, ps.rewrites, ps.cycles_saved));
+          execute =
+            (fun ?fuel image funcs resolve ->
+              let o, st =
+                Outcome.run_main_x86 ?fuel ~engine
+                  ~lookup:(fun _ name -> resolve name)
+                  { X86lite.Compile.cm = t.m; image; funcs }
+              in
+              X86lite.Sim.(o, output st, st.cycles, st.icount,
+                           Hashtbl.length st.redirects));
+        }
+  | Sparc ->
+      let peep = Option.fold ~none:[] ~some:Superopt.Table.sparc_pairs tb in
+      Backend
+        {
+          compile =
+            (fun image f ->
+              let ps = Sparclite.Compile.fresh_peep_stats () in
+              let cf =
+                Sparclite.Compile.compile_function t.m image ~peep
+                  ~peep_stats:ps f
+              in
+              Sparclite.Compile.(cf, ps.rewrites, ps.cycles_saved));
+          execute =
+            (fun ?fuel image funcs resolve ->
+              let o, st =
+                Outcome.run_main_sparc ?fuel ~engine
+                  ~lookup:(fun _ name -> resolve name)
+                  { Sparclite.Compile.cm = t.m; image; funcs }
+              in
+              Sparclite.Sim.(o, output st, st.cycles, st.icount,
+                             Hashtbl.length st.redirects));
+        }
 
 (* ---------- lint-before-cache ---------- *)
 
@@ -360,41 +446,31 @@ let ensure_peep_table t : Superopt.Table.t option =
    verdict entry re-analyzes exactly once ([lint_runs]) and writes the
    verdict back through the storage API. *)
 let verdict t : Check.Lint.verdict =
-  let name = lint_entry_name t in
-  let recorded =
-    match read_cached t name with
-    | None -> None
-    | Some data -> (
-        match unframe_entry data with
-        | Bad_magic ->
-            t.stats.cache_corrupt <- t.stats.cache_corrupt + 1;
-            None
-        | Bad_checksum ->
-            quarantine_entry t name;
-            None
-        | Payload payload -> (
-            match Check.Lint.verdict_of_json (Check.Json.parse payload) with
-            | v -> Some v
-            | exception Check.Json.Parse_error _ ->
-                t.stats.cache_corrupt <- t.stats.cache_corrupt + 1;
-                None))
+  let v, hit =
+    acquire t
+      {
+        name = lint_entry_name t;
+        decode = json_decode Check.Lint.verdict_of_json;
+        encode = json_encode Check.Lint.verdict_to_json;
+        compute =
+          (fun () ->
+            timing
+              (fun dt -> t.stats.lint_time <- t.stats.lint_time +. dt)
+              (fun () -> Check.Lint.verdict t.m));
+      }
   in
-  match recorded with
-  | Some v ->
-      t.stats.lint_skipped <- t.stats.lint_skipped + 1;
-      v
-  | None ->
-      let t0 = Unix.gettimeofday () in
-      let v = Check.Lint.verdict t.m in
-      t.stats.lint_time <- t.stats.lint_time +. (Unix.gettimeofday () -. t0);
-      t.stats.lint_runs <- t.stats.lint_runs + 1;
-      storage_write t name
-        (frame_entry
-           (Check.Json.to_string ~pretty:false
-              (Check.Lint.verdict_to_json v)));
-      v
+  if hit then t.stats.lint_skipped <- t.stats.lint_skipped + 1
+  else t.stats.lint_runs <- t.stats.lint_runs + 1;
+  v
 
 (* ---------- translation validation (lockstep certification) ---------- *)
+
+(* a verdict for the other target under this target's name was never
+   valid *)
+let tv_decode t payload =
+  match json_decode Tv.verdict_of_json payload with
+  | Some v when v.Tv.v_target = target_name t.target -> Some v
+  | _ -> None
 
 (* Obtain the module's lockstep-certification verdict for this target,
    reusing a recorded one when the storage cache holds a fresh,
@@ -407,47 +483,25 @@ let verdict t : Check.Lint.verdict =
    document the divergence — and [tv_mismatches] counts the mismatching
    functions in whichever verdict this launch ends up holding. *)
 let certify ?seed ?vectors t : Tv.verdict =
-  let name = tv_entry_name t in
-  let recorded =
-    match read_cached t name with
-    | None -> None
-    | Some data -> (
-        match unframe_entry data with
-        | Bad_magic ->
-            t.stats.cache_corrupt <- t.stats.cache_corrupt + 1;
-            None
-        | Bad_checksum ->
-            quarantine_entry t name;
-            None
-        | Payload payload -> (
-            match Tv.verdict_of_json (Check.Json.parse payload) with
-            | v when v.Tv.v_target = target_name t.target -> Some v
-            | _ ->
-                (* a verdict for the other target under this target's
-                   name was never valid *)
-                t.stats.cache_corrupt <- t.stats.cache_corrupt + 1;
-                None
-            | exception Check.Json.Parse_error _ ->
-                t.stats.cache_corrupt <- t.stats.cache_corrupt + 1;
-                None))
+  let v, hit =
+    acquire t
+      {
+        name = tv_entry_name t;
+        decode = tv_decode t;
+        encode = json_encode Tv.verdict_to_json;
+        compute =
+          (fun () ->
+            timing
+              (fun dt -> t.stats.tv_time <- t.stats.tv_time +. dt)
+              (fun () ->
+                Tv.certify_module ?seed ?vectors ~target:(target_name t.target)
+                  t.m));
+      }
   in
-  match recorded with
-  | Some v ->
-      t.stats.tv_skipped <- t.stats.tv_skipped + 1;
-      t.stats.tv_mismatches <- t.stats.tv_mismatches + Tv.mismatches v;
-      v
-  | None ->
-      let t0 = Unix.gettimeofday () in
-      let v =
-        Tv.certify_module ?seed ?vectors ~target:(target_name t.target) t.m
-      in
-      t.stats.tv_time <- t.stats.tv_time +. (Unix.gettimeofday () -. t0);
-      t.stats.tv_runs <- t.stats.tv_runs + 1;
-      t.stats.tv_mismatches <- t.stats.tv_mismatches + Tv.mismatches v;
-      storage_write t name
-        (frame_entry
-           (Check.Json.to_string ~pretty:false (Tv.verdict_to_json v)));
-      v
+  if hit then t.stats.tv_skipped <- t.stats.tv_skipped + 1
+  else t.stats.tv_runs <- t.stats.tv_runs + 1;
+  t.stats.tv_mismatches <- t.stats.tv_mismatches + Tv.mismatches v;
+  v
 
 (* The gate itself: with no storage there is nothing to protect (nothing
    is ever cached), so no lint runs — the pure-JIT path is unchanged.
@@ -515,139 +569,78 @@ let lint_rejected_report t v =
     Check.Lint.version
     (Check.Diag.render_text (Check.Lint.verdict_diags v))
 
-(* ---------- per-target drivers ---------- *)
+(* ---------- the native driver ---------- *)
 
 let find_function t name = Hashtbl.find_opt t.funcs_by_name name
 
-(* The cached-translation resolver shared by both back-ends. [compile]
-   JIT-compiles one IR function (timed and counted); [installed] is the
-   back-end's compiled-function table. Resolution order: already
-   installed, then the whole-module cache entry (read once, up front),
-   then the per-function cache entry, then JIT + write-back. Functions in
-   [blocked] (tainted by a per-function lint verdict) bypass the cache in
-   both directions: they are JIT-compiled on demand and never written
-   back, so a poisoned translation can neither be served nor recorded. *)
 let no_blocked : (string, unit) Hashtbl.t = Hashtbl.create 0
 
-let make_resolver (type cf) ?(blocked = no_blocked) t
-    ~(compile : Ir.func -> cf) ~(installed : (string, cf) Hashtbl.t) :
-    string -> cf option =
-  let preloaded : (string, cf) Hashtbl.t = Hashtbl.create 16 in
-  (let mname = module_entry_name t in
-   match Option.bind (read_cached t mname) (unmarshal_entry t mname) with
-   | Some (pairs : (string * cf) list) ->
-       List.iter (fun (n, cf) -> Hashtbl.replace preloaded n cf) pairs
-   | None -> ());
-  fun name ->
+(* Compile one function on any domain: the code plus its counts (time,
+   peephole rewrites, static cycles saved) as plain data, added to the
+   stats by [count_translation] on the calling domain. *)
+let translate compile image f =
+  let t0 = Unix.gettimeofday () in
+  let cf, rewrites, saved = compile image f in
+  (cf, (Unix.gettimeofday () -. t0, rewrites, saved))
+
+let count_translation t (dt, rewrites, saved) =
+  t.stats.translations <- t.stats.translations + 1;
+  t.stats.translate_time <- t.stats.translate_time +. dt;
+  t.stats.peep_rewrites <- t.stats.peep_rewrites + rewrites;
+  t.stats.peep_cycles_saved <- t.stats.peep_cycles_saved + saved
+
+(* Run [main] on the target's simulator. Functions resolve on demand:
+   already installed, then the whole-module cache entry (read once, up
+   front), then the per-function cache entry, then JIT + write-back.
+   Functions in [blocked] (tainted by a per-function lint verdict) bypass
+   the cache in both directions: they are JIT-compiled on demand and
+   never written back, so a poisoned translation can neither be served
+   nor recorded. *)
+let run_native ?(blocked = no_blocked) ?fuel t =
+  let (Backend b) = backend t in
+  let image = Vmem.Image.load t.m in
+  let installed = Hashtbl.create 32 and preloaded = Hashtbl.create 16 in
+  let mname = module_entry_name t in
+  Option.iter
+    (List.iter (fun (n, cf) -> Hashtbl.replace preloaded n cf))
+    (Option.bind (read_cached t mname) (unmarshal_entry t mname));
+  let jit f () =
+    let cf, counts = translate b.compile image f in
+    count_translation t counts;
+    cf
+  in
+  let resolve name =
     match Hashtbl.find_opt installed name with
     | Some cf -> Some cf
     | None -> (
         match find_function t name with
         | None -> None (* external: the simulator dispatches by name *)
-        | Some f -> (
-            let cached =
-              if Hashtbl.mem blocked name then None
+        | Some f ->
+            let cf, hit =
+              if Hashtbl.mem blocked name then (jit f (), false)
               else
                 match Hashtbl.find_opt preloaded name with
-                | Some cf -> Some cf
+                | Some cf -> (cf, true)
                 | None ->
-                    let cname = cache_name t name in
-                    Option.bind (read_cached t cname)
-                      (unmarshal_entry t cname)
+                    acquire t
+                      {
+                        name = cache_name t name;
+                        decode = unmarshal;
+                        encode = marshal;
+                        compute = jit f;
+                      }
             in
-            match cached with
-            | Some cf ->
-                t.stats.cache_hits <- t.stats.cache_hits + 1;
-                Hashtbl.replace installed name cf;
-                Some cf
-            | None ->
-                (* JIT: translate on demand, write back to the cache —
-                   which is also the repair path for an entry the
-                   checksum just quarantined *)
-                let cf = timed t (fun () -> compile f) in
-                t.stats.translations <- t.stats.translations + 1;
-                if not (Hashtbl.mem blocked name) then
-                  storage_write t (cache_name t name)
-                    (frame_entry (Marshal.to_string cf []));
-                Hashtbl.replace installed name cf;
-                Some cf))
-
-let run_x86 ?blocked t ?fuel () =
-  (* table first: cache identities include its fingerprint *)
-  let peep =
-    match ensure_peep_table t with
-    | Some tb -> Superopt.Table.x86_pairs tb
-    | None -> []
+            if hit then t.stats.cache_hits <- t.stats.cache_hits + 1;
+            Hashtbl.replace installed name cf;
+            Some cf)
   in
-  let ps = X86lite.Compile.fresh_peep_stats () in
-  let image = Vmem.Image.load t.m in
-  let cmod =
-    { X86lite.Compile.cm = t.m; image; funcs = Hashtbl.create 32 }
+  let outcome, output, cycles, icount, redirects =
+    b.execute ?fuel image installed resolve
   in
-  let resolve =
-    make_resolver ?blocked t
-      ~compile:(fun f ->
-        X86lite.Compile.compile_function t.m image ~peep ~peep_stats:ps f)
-      ~installed:cmod.X86lite.Compile.funcs
-  in
-  let st = X86lite.Sim.create ?fuel cmod in
-  st.X86lite.Sim.lookup <- (fun _st name -> resolve name);
-  st.X86lite.Sim.regs.(X86lite.X86.sp) <- Vmem.Memory.stack_top;
-  st.X86lite.Sim.regs.(X86lite.X86.bp) <- Vmem.Memory.stack_top;
-  let outcome =
-    Outcome.protect
-      ~engine:("llee-" ^ target_name t.target)
-      ~current:(fun () -> st.X86lite.Sim.cur.X86lite.Compile.cf_name)
-      (fun () ->
-        Int64.to_int
-          (Ir.normalize_int Types.Int (X86lite.Sim.call_function st "main" [])))
-  in
-  t.stats.cycles <- st.X86lite.Sim.cycles;
-  t.stats.native_instrs <- st.X86lite.Sim.icount;
-  t.stats.invalidations <- Hashtbl.length st.X86lite.Sim.redirects;
-  t.stats.peep_rewrites <- t.stats.peep_rewrites + ps.X86lite.Compile.rewrites;
-  t.stats.peep_cycles_saved <-
-    t.stats.peep_cycles_saved + ps.X86lite.Compile.cycles_saved;
-  (outcome, X86lite.Sim.output st)
-
-let run_sparc ?blocked t ?fuel () =
-  let peep =
-    match ensure_peep_table t with
-    | Some tb -> Superopt.Table.sparc_pairs tb
-    | None -> []
-  in
-  let ps = Sparclite.Compile.fresh_peep_stats () in
-  let image = Vmem.Image.load t.m in
-  let cmod =
-    { Sparclite.Compile.cm = t.m; image; funcs = Hashtbl.create 32 }
-  in
-  let resolve =
-    make_resolver ?blocked t
-      ~compile:(fun f ->
-        Sparclite.Compile.compile_function t.m image ~peep ~peep_stats:ps f)
-      ~installed:cmod.Sparclite.Compile.funcs
-  in
-  let st = Sparclite.Sim.create ?fuel cmod in
-  st.Sparclite.Sim.lookup <- (fun _st name -> resolve name);
-  st.Sparclite.Sim.regs.(Sparclite.Sparc.sp) <- Vmem.Memory.stack_top;
-  st.Sparclite.Sim.regs.(Sparclite.Sparc.fp) <- Vmem.Memory.stack_top;
-  let outcome =
-    Outcome.protect
-      ~engine:("llee-" ^ target_name t.target)
-      ~current:(fun () -> st.Sparclite.Sim.cur.Sparclite.Compile.cf_name)
-      (fun () ->
-        Int64.to_int
-          (Ir.normalize_int Types.Int
-             (Sparclite.Sim.call_function st "main" [])))
-  in
-  t.stats.cycles <- st.Sparclite.Sim.cycles;
-  t.stats.native_instrs <- st.Sparclite.Sim.icount;
-  t.stats.invalidations <- Hashtbl.length st.Sparclite.Sim.redirects;
-  t.stats.peep_rewrites <-
-    t.stats.peep_rewrites + ps.Sparclite.Compile.rewrites;
-  t.stats.peep_cycles_saved <-
-    t.stats.peep_cycles_saved + ps.Sparclite.Compile.cycles_saved;
-  (outcome, Sparclite.Sim.output st)
+  t.stats.cycles <- cycles;
+  t.stats.native_instrs <- icount;
+  t.stats.invalidations <- redirects;
+  (outcome, output)
 
 (* Launch the program: JIT with transparent offline caching. When a
    storage cache is attached, the module is linted first (once — warm
@@ -668,13 +661,8 @@ let run ?fuel t : Outcome.t * string =
                 t.key
           },
         lint_rejected_report t v )
-  | (Gate_clean | Gate_partial _) as g -> (
-      let blocked =
-        match g with Gate_partial (_, b) -> Some b | _ -> None
-      in
-      match t.target with
-      | X86 -> run_x86 ?blocked t ?fuel ()
-      | Sparc -> run_sparc ?blocked t ?fuel ())
+  | Gate_clean -> run_native ?fuel t
+  | Gate_partial (_, blocked) -> run_native ~blocked ?fuel t
 
 (* Idle-time offline translation: translate every function and populate
    the cache without executing (paper: "flagging it for translation and
@@ -686,62 +674,27 @@ let run ?fuel t : Outcome.t * string =
    per function: the redirect mechanism resolves the replacement function
    by name, whichever entry it was loaded from. *)
 let translate_offline_unchecked ?domains ?(blocked = no_blocked) t =
-  let tb = ensure_peep_table t in
+  let (Backend b) = backend t in
   let fns =
     List.filter
       (fun (f : Ir.func) ->
         (not (Ir.is_declaration f)) && not (Hashtbl.mem blocked f.Ir.fname))
       t.m.Ir.funcs
   in
-  (* workers return peephole counts as plain data: the shared stats
-     record must only be mutated on the calling domain *)
-  let go : 'cf. (Vmem.Image.t -> Ir.func -> 'cf * int * int) -> unit =
-   fun compile ->
-    let image = Vmem.Image.load t.m in
-    let compiled =
-      Pool.map ?domains
-        (fun (f : Ir.func) ->
-          let t0 = Unix.gettimeofday () in
-          let cf, rewrites, saved = compile image f in
-          (f.Ir.fname, cf, rewrites, saved, Unix.gettimeofday () -. t0))
-        fns
-    in
-    List.iter
-      (fun (name, cf, rewrites, saved, dt) ->
-        t.stats.translations <- t.stats.translations + 1;
-        t.stats.translate_time <- t.stats.translate_time +. dt;
-        t.stats.peep_rewrites <- t.stats.peep_rewrites + rewrites;
-        t.stats.peep_cycles_saved <- t.stats.peep_cycles_saved + saved;
-        storage_write t (cache_name t name)
-          (frame_entry (Marshal.to_string cf [])))
-      compiled;
-    storage_write t (module_entry_name t)
-      (frame_entry
-         (Marshal.to_string
-            (List.map (fun (name, cf, _, _, _) -> (name, cf)) compiled)
-            []))
+  let image = Vmem.Image.load t.m in
+  let compiled =
+    Pool.map ?domains
+      (fun (f : Ir.func) -> (f.Ir.fname, translate b.compile image f))
+      fns
   in
-  match t.target with
-  | X86 ->
-      let peep =
-        match tb with Some tb -> Superopt.Table.x86_pairs tb | None -> []
-      in
-      go (fun image f ->
-          let ps = X86lite.Compile.fresh_peep_stats () in
-          let cf =
-            X86lite.Compile.compile_function t.m image ~peep ~peep_stats:ps f
-          in
-          (cf, ps.X86lite.Compile.rewrites, ps.X86lite.Compile.cycles_saved))
-  | Sparc ->
-      let peep =
-        match tb with Some tb -> Superopt.Table.sparc_pairs tb | None -> []
-      in
-      go (fun image f ->
-          let ps = Sparclite.Compile.fresh_peep_stats () in
-          let cf =
-            Sparclite.Compile.compile_function t.m image ~peep ~peep_stats:ps f
-          in
-          (cf, ps.Sparclite.Compile.rewrites, ps.Sparclite.Compile.cycles_saved))
+  List.iter
+    (fun (name, (cf, counts)) ->
+      count_translation t counts;
+      storage_write t (cache_name t name) (frame_entry (marshal cf)))
+    compiled;
+  storage_write t (module_entry_name t)
+    (frame_entry
+       (marshal (List.map (fun (name, (cf, _)) -> (name, cf)) compiled)))
 
 let translate_offline ?domains t =
   if not t.storage.Storage.available then
@@ -782,16 +735,15 @@ let tv_doctor_line t : string =
       | Bad_magic | Bad_checksum ->
           "tv verdict: recorded entry damaged (next certify quarantines it)"
       | Payload p -> (
-          match Tv.verdict_of_json (Check.Json.parse p) with
-          | v ->
+          match tv_decode t p with
+          | Some v ->
               Printf.sprintf
                 "tv verdict: %d certified, %d skipped, %d mismatched (%s, tv \
                  v%d)"
                 (Tv.certified v)
                 (List.length v.Tv.v_results - Tv.certified v - Tv.mismatches v)
                 (Tv.mismatches v) v.Tv.v_target v.Tv.v_version
-          | exception Check.Json.Parse_error _ ->
-              "tv verdict: recorded entry undecodable (stale version?)"))
+          | None -> "tv verdict: recorded entry undecodable (stale version?)"))
 
 (* One line per quarantined file: name as stored, size, age relative to
    [now] (a parameter so reports are reproducible in tests). *)
@@ -811,12 +763,12 @@ let cache_doctor ?now t : string list =
                 bytes: torn and bit-rotted entries both land here, and the
                 frame verdict tells a human which failure it was *)
              let verdict =
-               match t.storage.Storage.open_quarantined name with
+               match
+                 contained t ~default:None (fun () ->
+                     t.storage.Storage.open_quarantined name)
+               with
                | Some e -> classify_frame e.Storage.data
                | None -> "unreadable: quarantined bytes lost"
-               | exception _ ->
-                   t.stats.storage_errors <- t.stats.storage_errors + 1;
-                   "unreadable: quarantined bytes lost"
              in
              Printf.sprintf "  %-40s %6d bytes  age %.0fs  %s" name size
                (Float.max 0.0 (now -. ts))
@@ -825,32 +777,25 @@ let cache_doctor ?now t : string list =
       @ [ tv_doctor_line t ]
 
 let purge_quarantined t : int =
-  try t.storage.Storage.purge_quarantined ()
-  with _ ->
-    t.stats.storage_errors <- t.stats.storage_errors + 1;
-    0
+  contained t ~default:0 t.storage.Storage.purge_quarantined
 
 let first_difference a b =
   let n = min (String.length a) (String.length b) in
-  let rec go i =
-    if i >= n then if String.length a = String.length b then None else Some n
-    else if a.[i] <> b.[i] then Some i
-    else go (i + 1)
-  in
-  go 0
+  let rec go i = if i < n && a.[i] = b.[i] then go (i + 1) else i in
+  let i = go 0 in
+  if i = n && String.length a = String.length b then None else Some i
 
 (* Autopsy of one quarantined per-function entry: classify the frame
    damage, then retranslate the function exactly as the JIT would and
    report where the quarantined bytes diverge from a fresh entry. *)
 let diff_quarantined t fname : string list =
+  (* table first: the entry's name carries its fingerprint *)
+  let (Backend b) = backend t in
   let cname = cache_name t fname in
-  let entry =
-    try t.storage.Storage.read_quarantined cname
-    with _ ->
-      t.stats.storage_errors <- t.stats.storage_errors + 1;
-      None
-  in
-  match entry with
+  match
+    contained t ~default:None (fun () ->
+        t.storage.Storage.read_quarantined cname)
+  with
   | None ->
       [
         Printf.sprintf "no quarantined entry for function %%%s (cache name %s)"
@@ -865,33 +810,8 @@ let diff_quarantined t fname : string list =
       match find_function t fname with
       | None -> [ header; "function is not defined in this module" ]
       | Some f ->
-          let image = Vmem.Image.load t.m in
-          let payload =
-            match t.target with
-            | X86 ->
-                let peep =
-                  match ensure_peep_table t with
-                  | Some tb -> Superopt.Table.x86_pairs tb
-                  | None -> []
-                in
-                let ps = X86lite.Compile.fresh_peep_stats () in
-                Marshal.to_string
-                  (X86lite.Compile.compile_function t.m image ~peep
-                     ~peep_stats:ps f)
-                  []
-            | Sparc ->
-                let peep =
-                  match ensure_peep_table t with
-                  | Some tb -> Superopt.Table.sparc_pairs tb
-                  | None -> []
-                in
-                let ps = Sparclite.Compile.fresh_peep_stats () in
-                Marshal.to_string
-                  (Sparclite.Compile.compile_function t.m image ~peep
-                     ~peep_stats:ps f)
-                  []
-          in
-          let fresh = frame_entry payload in
+          let cf, _, _ = b.compile (Vmem.Image.load t.m) f in
+          let fresh = frame_entry (marshal cf) in
           let diff_line =
             match first_difference e.Storage.data fresh with
             | None -> "byte-identical to a fresh translation"

@@ -102,7 +102,8 @@ let protect ~engine ?(current = fun () -> "main") (f : unit -> int) : t =
 
 (* The contained counterparts of each engine's raw [run_main]: same
    launch sequence, but traps come back as outcomes and the engine state
-   survives for output / statistics readout. *)
+   survives for output / statistics readout. LLEE passes its own engine
+   name and a [lookup] that resolves functions through its code cache. *)
 
 let run_main_interp ?fuel m =
   let st = Interp.create ?fuel m in
@@ -113,12 +114,13 @@ let run_main_interp ?fuel m =
   in
   (o, st)
 
-let run_main_x86 ?fuel cmod =
+let run_main_x86 ?fuel ?(engine = "x86lite") ?lookup cmod =
   let st = X86lite.Sim.create ?fuel cmod in
+  Option.iter (fun l -> st.X86lite.Sim.lookup <- l) lookup;
   st.X86lite.Sim.regs.(X86lite.X86.sp) <- Vmem.Memory.stack_top;
   st.X86lite.Sim.regs.(X86lite.X86.bp) <- Vmem.Memory.stack_top;
   let o =
-    protect ~engine:"x86lite"
+    protect ~engine
       ~current:(fun () -> st.X86lite.Sim.cur.X86lite.Compile.cf_name)
       (fun () ->
         Int64.to_int
@@ -126,12 +128,13 @@ let run_main_x86 ?fuel cmod =
   in
   (o, st)
 
-let run_main_sparc ?fuel cmod =
+let run_main_sparc ?fuel ?(engine = "sparclite") ?lookup cmod =
   let st = Sparclite.Sim.create ?fuel cmod in
+  Option.iter (fun l -> st.Sparclite.Sim.lookup <- l) lookup;
   st.Sparclite.Sim.regs.(Sparclite.Sparc.sp) <- Vmem.Memory.stack_top;
   st.Sparclite.Sim.regs.(Sparclite.Sparc.fp) <- Vmem.Memory.stack_top;
   let o =
-    protect ~engine:"sparclite"
+    protect ~engine
       ~current:(fun () -> st.Sparclite.Sim.cur.Sparclite.Compile.cf_name)
       (fun () ->
         Int64.to_int

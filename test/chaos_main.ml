@@ -524,21 +524,30 @@ let run_kill9_chaos exe =
       Printf.printf "ok (torn %d, quarantined %d)\n%!" (List.length damaged)
         (List.length quarantined))
 
-(* `llva_run --stats` prints the simulators' step counts, pinned here for
-   255.vortex at -O1 on a normal exit and when --fuel runs out (exit
-   124). *)
+(* `llva_run --stats` prints the simulators' step counts (and sparc's
+   code size), pinned here for 255.vortex at -O1 on a normal exit and
+   when --fuel runs out (exit 124). *)
 let stats_expectations =
   [
     ("x86", None, 0, [ "native instructions: 1497745"; "cycles: 3718803" ]);
     ( "x86", Some 100_000, 124,
       [ "native instructions: 100001"; "cycles: 245601" ] );
-    ("sparc", None, 0, [ "native instructions: 1432659"; "cycles: 2709675" ]);
+    ( "sparc", None, 0,
+      [
+        "native instructions: 1432659";
+        "cycles: 2709675";
+        "native code bytes: 3044";
+      ] );
     ( "sparc", Some 100_000, 124,
       [ "native instructions: 100001"; "cycles: 182330" ] );
-    ("llee-x86", None, 0, [ "cycles: 3718803" ]);
-    ("llee-x86", Some 100_000, 124, [ "cycles: 245601" ]);
-    ("llee-sparc", None, 0, [ "cycles: 2709675" ]);
-    ("llee-sparc", Some 100_000, 124, [ "cycles: 182330" ]);
+    ( "llee-x86", None, 0,
+      [ "native instructions: 1497745"; "cycles: 3718803" ] );
+    ( "llee-x86", Some 100_000, 124,
+      [ "native instructions: 100001"; "cycles: 245601" ] );
+    ( "llee-sparc", None, 0,
+      [ "native instructions: 1432659"; "cycles: 2709675" ] );
+    ( "llee-sparc", Some 100_000, 124,
+      [ "native instructions: 100001"; "cycles: 182330" ] );
   ]
 
 let run_stats_check exe =

@@ -902,6 +902,312 @@ let test_peep_table_determinism () =
   check_bool "peephole code keyed separately" true
     (Llee.cache_name e1 "main" <> Llee.cache_name plain "main")
 
+(* ---------- forensics under the peephole pass ---------- *)
+
+(* keeps the frame's magic and breaks its checksum *)
+let flip_last_byte d =
+  let b = Bytes.of_string d in
+  let k = Bytes.length b - 1 in
+  Bytes.set b k (Char.chr (Char.code (Bytes.get b k) lxor 0xff));
+  Bytes.to_string b
+
+(* [--diff] runs on a freshly loaded engine, as llva-run does it: the
+   table has not been acquired yet, and the quarantined entry's name
+   carries the table fingerprint all the same *)
+let test_diff_quarantined_peephole () =
+  let storage = Llee.Storage.in_memory () in
+  let eng =
+    Llee.of_module ~storage ~peephole:true ~target:Llee.X86
+      (Gen.parse program)
+  in
+  ignore (run_ok eng);
+  let cname = Llee.cache_name eng "hot" in
+  (match storage.Llee.Storage.read cname with
+  | None -> Alcotest.fail "expected a cached entry for %hot"
+  | Some e ->
+      storage.Llee.Storage.write cname (flip_last_byte e.Llee.Storage.data));
+  let warm = Llee.fresh_run eng in
+  ignore (run_ok warm);
+  check_int "damaged entry quarantined" 1
+    warm.Llee.stats.Llee.cache_quarantined;
+  let doctor = Llee.fresh_run warm in
+  check_bool "doctor lists the suffixed name" true
+    (List.exists (fun l -> contains l cname)
+       (Llee.cache_doctor ~now:10.0 doctor));
+  let diff = Llee.diff_quarantined doctor "hot" in
+  check_bool "diff finds the quarantined entry" true
+    (List.exists (fun l -> contains l ("quarantined " ^ cname)) diff);
+  check_bool "diff finds the flipped byte" true
+    (List.exists (fun l -> contains l "first difference at byte") diff)
+
+(* ---------- golden storage trace ---------- *)
+
+(* Every storage call LLEE makes, in order, and every integer stats field
+   after each step, over cold/warm/offline/peephole/certify/lint-partial/
+   stale/damaged scenarios on both targets. [llee_storage_trace.expected]
+   is the byte-level spec of the cache protocol: call order, entry names
+   (module key and table fingerprint masked), and each entry's length
+   and checksum. *)
+
+(* [program]'s [%hot n] loops [n] times, so certifying it on random
+   vectors runs to the interpreter's fuel; this variant fixes the trip
+   count and keeps an uncalled helper for offline translation *)
+let trace_program =
+  {|
+declare void %print_int(int)
+
+int %hot() {
+entry:
+  br label %loop
+loop:
+  %i = phi int [ 0, %entry ], [ %inext, %latch ]
+  %acc = phi int [ 0, %entry ], [ %acc3, %latch ]
+  %odd = rem int %i, 2
+  %isodd = seteq int %odd, 1
+  br bool %isodd, label %odd_path, label %even_path
+odd_path:
+  %a1 = add int %acc, %i
+  br label %latch
+even_path:
+  %a2 = add int %acc, 1
+  br label %latch
+latch:
+  %acc3 = phi int [ %a1, %odd_path ], [ %a2, %even_path ]
+  %inext = add int %i, 1
+  %done = setge int %inext, 50
+  br bool %done, label %out, label %loop
+out:
+  ret int %acc3
+}
+
+int %cold_helper(int %x) {
+entry:
+  %r = mul int %x, 3
+  ret int %r
+}
+
+int %main() {
+entry:
+  %h = call int %hot()
+  call void %print_int(int %h)
+  ret int %h
+}
+|}
+
+let is_hex s =
+  String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s
+
+let mask_name name =
+  let name =
+    if String.length name >= 32 && is_hex (String.sub name 0 32) then
+      "<key>" ^ String.sub name 32 (String.length name - 32)
+    else name
+  in
+  let n = String.length name in
+  if n >= 10
+     && String.sub name (n - 10) 2 = ".p"
+     && is_hex (String.sub name (n - 8) 8)
+  then String.sub name 0 (n - 8) ^ "<fp>"
+  else name
+
+(* Decoding names every value [%v<id>] from a process-wide id counter, so
+   the text of a lint finding depends on how many modules this process
+   decoded before; those ids are masked too, and with them the frame's
+   checksum field. An entry is recorded as its length and the CRC-32 of
+   its masked bytes. *)
+let mask_value_ids data =
+  let n = String.length data in
+  let b = Buffer.create n in
+  let digit i = i < n && data.[i] >= '0' && data.[i] <= '9' in
+  let rec go i =
+    if i >= n then ()
+    else if data.[i] = '%' && i + 1 < n && data.[i + 1] = 'v' && digit (i + 2)
+    then begin
+      Buffer.add_string b "%v#";
+      let j = ref (i + 2) in
+      while digit !j do incr j done;
+      go !j
+    end
+    else begin
+      Buffer.add_char b data.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+let entry_digest data =
+  let m = mask_value_ids data and h = String.length Llee.cache_magic + 8 in
+  let m =
+    if String.length m >= h && String.starts_with ~prefix:Llee.cache_magic m
+    then Llee.cache_magic ^ "########" ^ String.sub m h (String.length m - h)
+    else m
+  in
+  Printf.sprintf "%d %s" (String.length m) (Llee.Crc32.hex m)
+
+let traced_storage log =
+  let s = Llee.Storage.in_memory () in
+  let note fmt = Printf.ksprintf (fun l -> log := l :: !log) fmt in
+  let traced =
+    {
+      s with
+      Llee.Storage.read =
+        (fun name ->
+          let r = s.Llee.Storage.read name in
+          note "read %s %s" (mask_name name)
+            (match r with
+            | Some e -> entry_digest e.Llee.Storage.data
+            | None -> "miss");
+          r);
+      write =
+        (fun name data ->
+          note "write %s %s" (mask_name name) (entry_digest data);
+          s.Llee.Storage.write name data);
+      delete =
+        (fun name ->
+          note "delete %s" (mask_name name);
+          s.Llee.Storage.delete name);
+      quarantine =
+        (fun name ->
+          note "quarantine %s" (mask_name name);
+          s.Llee.Storage.quarantine name);
+    }
+  in
+  (s, traced)
+
+let stats_line (st : Llee.stats) =
+  Printf.sprintf
+    "stats translations=%d cache_hits=%d cycles=%Ld native_instrs=%Ld \
+     invalidations=%d cache_corrupt=%d cache_quarantined=%d \
+     cache_repaired=%d storage_errors=%d lint_runs=%d lint_skipped=%d \
+     lint_rejected=%d lint_blocked_funcs=%d peep_rewrites=%d \
+     peep_cycles_saved=%d peep_searches=%d peep_table_loads=%d tv_runs=%d \
+     tv_skipped=%d tv_mismatches=%d"
+    st.Llee.translations st.Llee.cache_hits st.Llee.cycles
+    st.Llee.native_instrs st.Llee.invalidations st.Llee.cache_corrupt
+    st.Llee.cache_quarantined st.Llee.cache_repaired st.Llee.storage_errors
+    st.Llee.lint_runs st.Llee.lint_skipped st.Llee.lint_rejected
+    st.Llee.lint_blocked_funcs st.Llee.peep_rewrites
+    st.Llee.peep_cycles_saved st.Llee.peep_searches st.Llee.peep_table_loads
+    st.Llee.tv_runs st.Llee.tv_skipped st.Llee.tv_mismatches
+
+let storage_trace target =
+  let log = ref [] in
+  let tn = Llee.target_name target in
+  let step label eng act =
+    log := Printf.sprintf "-- %s: %s" tn label :: !log;
+    act eng;
+    log := stats_line eng.Llee.stats :: !log;
+    eng
+  in
+  let run eng = ignore (Llee.run eng) in
+  let offline eng = Llee.translate_offline ~domains:1 eng in
+  let certify eng = ignore (Llee.certify eng) in
+  let both f g eng = f eng; g eng in
+  let engine ?(peephole = false) ?(timestamp = 0.0) ?(src = trace_program)
+      storage =
+    Llee.load ~storage ~timestamp ~peephole ~target
+      (Llva.Encode.encode (Gen.parse src))
+  in
+  let again label eng act = ignore (step label (Llee.fresh_run eng) act) in
+  let update (raw : Llee.Storage.t) name f =
+    match raw.Llee.Storage.read name with
+    | Some e -> raw.Llee.Storage.write name (f e.Llee.Storage.data)
+    | None -> Alcotest.failf "no entry %s to damage" (mask_name name)
+  in
+  let damages =
+    [
+      ("checksum", flip_last_byte);
+      ("bad magic", fun _ -> "garbage bytes!");
+      ("undecodable", fun _ -> Llee.frame_entry "junk");
+    ]
+  in
+  (* cold JIT run, then warm *)
+  let _, s = traced_storage log in
+  let e = step "cold run" (engine s) run in
+  again "warm run" e run;
+  (* offline translation, then a warm launch off the module entry *)
+  let _, s = traced_storage log in
+  let e = step "translate_offline" (engine s) offline in
+  again "warm run after offline" e run;
+  (* peephole table searched, then loaded *)
+  let _, s = traced_storage log in
+  let e = step "peephole cold run" (engine ~peephole:true s) run in
+  again "peephole warm run" e run;
+  (* certification computed, then reused *)
+  let _, s = traced_storage log in
+  let e = step "certify cold" (engine s) certify in
+  again "certify warm" e certify;
+  (* an unreachable lint error: partial install *)
+  let _, s = traced_storage log in
+  let e = step "lint-partial cold run" (engine ~src:partial_program s) run in
+  again "lint-partial warm run" e run;
+  again "lint-partial translate_offline" e offline;
+  (* every entry kind recorded, then orphaned by a newer program *)
+  let _, s = traced_storage log in
+  ignore (step "stale setup" (engine ~peephole:true s) (both offline certify));
+  ignore
+    (step "stale relaunch"
+       (engine ~peephole:true ~timestamp:1e9 s)
+       (both run certify));
+  (* one damaged entry at a time, each healed by the next launch *)
+  let raw, s = traced_storage log in
+  let e = step "damage setup" (engine ~peephole:true s) (both run certify) in
+  List.iter
+    (fun (kind, name) ->
+      List.iter
+        (fun (how, f) ->
+          update raw name f;
+          again (Printf.sprintf "%s entry, %s" kind how) e (both run certify))
+        damages)
+    [
+      ("code", Llee.cache_name e "hot");
+      ("#peep#", Llee.peep_entry_name e);
+      ("#lint#", Llee.lint_entry_name e);
+      ("#tv#", Llee.tv_entry_name e);
+    ];
+  (* a verdict for the other target under this target's name *)
+  let other = if target = Llee.X86 then Llee.Sparc else Llee.X86 in
+  let foreign =
+    Llee.certify (Llee.of_module ~target:other (Gen.parse trace_program))
+  in
+  update raw (Llee.tv_entry_name e) (fun _ ->
+      Llee.frame_entry
+        (Check.Json.to_string ~pretty:false (Llee.Tv.verdict_to_json foreign)));
+  again "#tv# entry, other target" e certify;
+  (* the whole-module entry: a JIT launch never rewrites it, so each
+     damage gets a fresh offline cache *)
+  List.iter
+    (fun (how, f) ->
+      let raw, s = traced_storage log in
+      let e = step "module setup" (engine s) offline in
+      update raw (Llee.module_entry_name e) f;
+      again ("#module# entry, " ^ how) e run)
+    damages;
+  List.rev !log
+
+let test_golden_storage_trace () =
+  let actual = storage_trace Llee.X86 @ storage_trace Llee.Sparc in
+  let expected =
+    In_channel.with_open_bin "llee_storage_trace.expected" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  if actual <> expected then begin
+    let out = Filename.temp_file "llee_storage_trace" ".actual" in
+    Out_channel.with_open_bin out (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
+    let rec first i = function
+      | a :: ra, b :: rb -> if a = b then first (i + 1) (ra, rb) else (i, a, b)
+      | a :: _, [] -> (i, "<end>", a)
+      | [], b :: _ -> (i, b, "<end>")
+      | [], [] -> (i, "", "")
+    in
+    let i, want, got = first 1 (expected, actual) in
+    Alcotest.failf "storage trace differs at line %d:\n  expected %s\n  actual   %s\n(full trace in %s)"
+      i want got out
+  end
+
 let suite =
   suite
   @ [
@@ -938,4 +1244,8 @@ let suite =
         test_peep_entry_corrupt_stale_bumped;
       Alcotest.test_case "peep table determinism" `Quick
         test_peep_table_determinism;
+      Alcotest.test_case "diff quarantined peephole" `Quick
+        test_diff_quarantined_peephole;
+      Alcotest.test_case "golden storage trace" `Quick
+        test_golden_storage_trace;
     ]
